@@ -167,13 +167,13 @@ func runFleet(o loadOptions, bin, modelPath, dir string, w *workload, n int) (*f
 			"-out", filepath.Join(dir, fmt.Sprintf("fleet-%d-%s.out.csv", n, id)),
 			"-classify-every", o.classifyEvery.String(),
 			"-window", o.window.String(),
-			"-classify-batch", fmt.Sprint(o.classifyBatch),
 			"-cluster-config", cfgPath,
 			"-instance-id", id,
 			"-snapshot", m.snapPath,
-			"-replay", csvPath,
-			"-replay-speed", fmt.Sprint(o.speed),
-			"-replay-workers", fmt.Sprint(o.replayWorkers),
+			"-source", "replay",
+			"-input", csvPath,
+			"-ingest-speed", fmt.Sprint(o.speed),
+			"-ingest-workers", fmt.Sprint(o.replayWorkers),
 		}
 		if o.shards > 0 {
 			args = append(args, "-shards", fmt.Sprint(o.shards))

@@ -13,13 +13,14 @@
 //	        [-shapes steady,bursty] [-speed 0] [-ramp 60s]
 //	        [-transport replay|sockets|squid] [-slow-sink]
 //	        [-classify-every 500ms] [-window 0] [-shards N]
-//	        [-classify-workers N] [-classify-batch 256]
+//	        [-classify-workers N]
 //	        [-replay-workers 4] [-socket-workers 32]
 //	        [-instances N] [-settle 60s] [-out BENCH_load.json] [-bin path]
 //
 // Transport "replay" (the default) ships the workload to the daemon as
-// a CSV and lets qoeproxy -replay deliver it through the record-replay
-// seam at -speed times recorded time (0 = as fast as possible) —
+// a CSV and lets qoeproxy -source replay deliver it through the
+// record-replay seam at -speed times recorded time (0 = as fast as
+// possible), on -replay-workers delivery goroutines —
 // this is how five-digit client counts fit on one box. Transport
 // "sockets" opens real TLS-shaped connections through the proxy
 // listener against a synthetic origin, bounded by -socket-workers
@@ -86,7 +87,6 @@ type loadOptions struct {
 	window          time.Duration
 	shards          int
 	classifyWorkers int
-	classifyBatch   int
 	replayWorkers   int
 	socketWorkers   int
 
@@ -111,7 +111,6 @@ func main() {
 	flag.DurationVar(&o.window, "window", 0, "daemon classification window (0 = whole current session)")
 	flag.IntVar(&o.shards, "shards", 0, "daemon lock shards (0 = daemon default)")
 	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "daemon classify workers (0 = daemon default)")
-	flag.IntVar(&o.classifyBatch, "classify-batch", 256, "daemon batched-sweep rows per inference call (0 = row-at-a-time)")
 	flag.IntVar(&o.replayWorkers, "replay-workers", 4, "daemon replay delivery goroutines (replay transport)")
 	flag.IntVar(&o.socketWorkers, "socket-workers", 32, "concurrent fetches (sockets transport)")
 	flag.IntVar(&o.instances, "instances", 0, "also bench a consistent-hash partitioned fleet of N daemons against the shared workload (0 = skip the fleet section)")
@@ -185,7 +184,6 @@ func runLoad(o loadOptions) error {
 			"window":           o.window.String(),
 			"shards":           o.shards,
 			"classify_workers": o.classifyWorkers,
-			"classify_batch":   o.classifyBatch,
 			"replay_workers":   o.replayWorkers,
 			"socket_workers":   o.socketWorkers,
 			"instances":        o.instances,
@@ -292,7 +290,7 @@ type replayOutcome struct {
 }
 
 // watchStderr parses the daemon's JSON log lines, extracting the
-// addresses and the replay-completion event. Lines are pre-filtered by
+// addresses and the ingest-completion event. Lines are pre-filtered by
 // substring so the 10k-client classification log volume doesn't cost a
 // JSON decode each.
 func watchStderr(r io.Reader, ev *daemonEvents) {
@@ -321,8 +319,7 @@ func watchStderr(r io.Reader, ev *daemonEvents) {
 				default:
 				}
 			}
-		case strings.Contains(line, `"msg":"replay complete"`),
-			strings.Contains(line, `"msg":"ingest complete"`):
+		case strings.Contains(line, `"msg":"ingest complete"`):
 			var e struct {
 				Records     int64   `json:"records"`
 				WallSeconds float64 `json:"wall_seconds"`
@@ -418,7 +415,6 @@ func runShape(o loadOptions, bin, modelPath, dir string, w *workload) (*shapeRes
 		"-out", outPath,
 		"-classify-every", o.classifyEvery.String(),
 		"-window", o.window.String(),
-		"-classify-batch", fmt.Sprint(o.classifyBatch),
 	}
 	if o.shards > 0 {
 		args = append(args, "-shards", fmt.Sprint(o.shards))
@@ -429,9 +425,10 @@ func runShape(o loadOptions, bin, modelPath, dir string, w *workload) (*shapeRes
 	switch o.transport {
 	case "replay":
 		args = append(args,
-			"-replay", csvPath,
-			"-replay-speed", fmt.Sprint(o.speed),
-			"-replay-workers", fmt.Sprint(o.replayWorkers))
+			"-source", "replay",
+			"-input", csvPath,
+			"-ingest-speed", fmt.Sprint(o.speed),
+			"-ingest-workers", fmt.Sprint(o.replayWorkers))
 	case "squid":
 		// Render the workload as an end-time-ordered access log — the
 		// order a real Squid writes — and let the daemon's tailer ingest
@@ -487,8 +484,8 @@ func runShape(o loadOptions, bin, modelPath, dir string, w *workload) (*shapeRes
 	}
 	base := "http://" + metricsAddr
 
-	// Sockets transport drives the workload itself; replay mode waits
-	// for the daemon's replayer.
+	// Sockets transport drives the workload itself; the file transports
+	// wait for the daemon's "ingest complete" log line.
 	if o.transport == "sockets" {
 		var listenAddr string
 		select {

@@ -103,6 +103,12 @@ func (s *service) record(connID uint64, client, sni string, start, end float64, 
 	}
 }
 
+// ingestOne delivers one completed record as a one-element batch,
+// which is exactly what ProxySource hands the service per connection.
+func (s *service) ingestOne(r tlsproxy.Record) {
+	s.onTransactionBatch([]tlsproxy.Record{r})
+}
+
 // TestSinkWriteFailures drives transactions into a sink that fails a
 // burst of writes then recovers, pumba-style: the failures must be
 // counted, logged once per burst, reflected in /healthz while they
@@ -135,7 +141,7 @@ func TestSinkWriteFailures(t *testing.T) {
 	for i := 0; i < 2; i++ { // burst: both writes fail
 		r := s.record(uint64(i+1), "10.1.1.1:5000", "cdn-01.svc1.example", float64(i), float64(i)+0.5, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		s.ingestOne(r)
 	}
 	s.flushSinks() // writes happen on the writer goroutine
 	if got := s.mSinkFailures.Value(); got != 2 {
@@ -150,7 +156,7 @@ func TestSinkWriteFailures(t *testing.T) {
 
 	r := s.record(3, "10.1.1.1:5000", "cdn-01.svc1.example", 3, 3.5, 100, 1000)
 	s.onConnOpen(r)
-	s.onTransaction(r) // sink recovered
+	s.ingestOne(r) // sink recovered
 	s.flushSinks()
 	if got := logs.countLogMsg(t, "sink recovered"); got != 1 {
 		t.Errorf("recovery logged %d times, want once", got)
@@ -179,7 +185,7 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := s.record(uint64(i+1), "10.2.2.2:6000", "cdn-01.svc1.example", float64(i*10), float64(i*10)+2, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		s.ingestOne(r)
 	}
 	cs := s.client("10.2.2.2")
 	pending := len(cs.inFlight) + len(cs.buffer)
@@ -212,7 +218,7 @@ func TestClassificationErrorsMetric(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r := s.record(uint64(i+1), "10.3.3.3:7000", "cdn-01.svc1.example", float64(i), float64(i)+0.5, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		s.ingestOne(r)
 	}
 	s.classifyPass(10)
 	if got := s.mClassErrors.Value(); got != 1 {
@@ -239,7 +245,7 @@ func TestSinkShortWriteCounted(t *testing.T) {
 	}), name: "out"}
 	r := s.record(1, "10.4.4.4:8000", "cdn-01.svc1.example", 0, 0.5, 100, 1000)
 	s.onConnOpen(r)
-	s.onTransaction(r)
+	s.ingestOne(r)
 	s.flushSinks()
 	if got := s.mSinkFailures.Value(); got != 1 {
 		t.Errorf("sink_write_failures = %d after a short write, want 1", got)

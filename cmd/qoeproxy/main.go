@@ -15,12 +15,10 @@
 //	         [-shadow-model challenger.json]
 //	         [-metrics 127.0.0.1:9090] [-classify-every 30s]
 //	         [-window 4m] [-client-ttl 1h] [-max-session-txns 4096]
-//	         [-shards N] [-classify-workers N] [-classify-batch N]
-//	         [-replay workload.csv] [-replay-speed X] [-replay-workers N]
+//	         [-shards N] [-classify-workers N]
 //	         [-source proxy|squid|pcap|netflow|replay] [-input FILE]
 //	         [-ingest-speed X] [-ingest-workers N] [-ingest-epoch T]
-//	         [-ingest-horizon 5m] [-follow=true]
-//	         [-ingest-batch N] [-parse-workers N]
+//	         [-ingest-horizon 5m] [-follow=true] [-parse-workers N]
 //	         [-cluster-config cluster.json] [-instance-id ID]
 //	         [-snapshot state.json] [-restore state.json]
 //	         [-v]
@@ -45,13 +43,12 @@
 // connections ingest in parallel, and the classify tick fans out
 // across shards on a -classify-workers pool, sweeping each shard's
 // feature rows through the compiled scorer in contiguous row-major
-// blocks of -classify-batch rows; outputs stay ordered through a
-// single sink-writer goroutine. With -replay the daemon additionally
-// replays a recorded workload CSV (internal/tlsproxy.ReadWorkload)
-// straight into the ingest path — same callbacks, logical timestamps —
-// at -replay-speed times recorded speed, which is how cmd/qoeload
-// drives tens of thousands of simulated clients through the real
-// serving loop without a socket per session.
+// blocks; outputs stay ordered through a single sink-writer goroutine.
+// -source replay feeds a recorded workload CSV
+// (internal/tlsproxy.ReadWorkload) into the same ingest path with
+// logical timestamps, at -ingest-speed times recorded speed — which is
+// how cmd/qoeload drives tens of thousands of simulated clients through
+// the real serving loop without a socket per session.
 //
 // The model is operated like production ML, not loaded once and served
 // forever. SIGHUP or POST /admin/reload (loopback callers only, on the
@@ -130,10 +127,6 @@ func main() {
 	flag.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
 	flag.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.classifyWorkers, "classify-workers", 0, "goroutines fanning the classify tick across shards (0 = GOMAXPROCS, capped at -shards)")
-	flag.IntVar(&opts.classifyBatch, "classify-batch", 256, "feature rows swept per batched inference call in a classification pass (0 = row-at-a-time)")
-	flag.StringVar(&opts.replayPath, "replay", "", "replay this workload CSV (see internal/tlsproxy.ReadWorkload) into the ingest path alongside live traffic")
-	flag.Float64Var(&opts.replaySpeed, "replay-speed", 0, "time-compression factor for -replay: 1 = recorded speed, 0 = as fast as possible")
-	flag.IntVar(&opts.replayWorkers, "replay-workers", 4, "goroutines delivering -replay records (clients are hash-partitioned across them)")
 	flag.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
 	flag.StringVar(&opts.input, "input", "", "input file for a non-proxy -source: Squid access log, pcap trace, flow CSV or workload CSV")
 	flag.Float64Var(&opts.ingestSpeed, "ingest-speed", 0, "time-compression factor for file sources: 1 = recorded pace, 0 = as fast as possible")
@@ -141,7 +134,6 @@ func main() {
 	flag.Float64Var(&opts.ingestEpoch, "ingest-epoch", -1, "Unix time mapped to offset 0 for squid/pcap sources (-1 = first event's time)")
 	flag.DurationVar(&opts.ingestHorizon, "ingest-horizon", 5*time.Minute, "reordering slack for -source=squid: entries are released once the log's end-time watermark is this far past them")
 	flag.BoolVar(&opts.follow, "follow", true, "for -source=squid: keep tailing the log across rotation/truncation (false stops at EOF)")
-	flag.IntVar(&opts.ingestBatch, "ingest-batch", 256, "transactions coalesced per shard-batched ingest commit; 0 delivers record-at-a-time")
 	flag.IntVar(&opts.parseWorkers, "parse-workers", 1, "for -source=squid: goroutines decoding log lines (output is identical at any setting)")
 	flag.StringVar(&opts.clusterConfig, "cluster-config", "", "cluster membership file (internal/cluster JSON); this instance serves only the clients the ring assigns it")
 	flag.StringVar(&opts.instanceID, "instance-id", "", "this daemon's id in -cluster-config (required with it)")
@@ -165,21 +157,20 @@ type options struct {
 	clientTTL                     time.Duration
 	maxSessionTxns                int
 	shards, classifyWorkers       int
-	classifyBatch                 int
-	replayPath                    string
-	replaySpeed                   float64
-	replayWorkers                 int
-	source, input                 string
-	ingestSpeed                   float64
-	ingestWorkers                 int
-	ingestEpoch                   float64
-	ingestHorizon                 time.Duration
-	follow                        bool
-	ingestBatch                   int
-	parseWorkers                  int
-	clusterConfig, instanceID     string
-	snapshotPath, restorePath     string
-	verbose                       bool
+	// classifyBatch is the rows per batched inference call in a
+	// classification pass; <= 0 means 256. No flag sets it: tests vary
+	// it to split shard blocks at awkward boundaries.
+	classifyBatch             int
+	source, input             string
+	ingestSpeed               float64
+	ingestWorkers             int
+	ingestEpoch               float64
+	ingestHorizon             time.Duration
+	follow                    bool
+	parseWorkers              int
+	clusterConfig, instanceID string
+	snapshotPath, restorePath string
+	verbose                   bool
 }
 
 // loadResolver builds the SNI->backend mapping.
@@ -371,13 +362,13 @@ type service struct {
 	track    bool // maintain incremental accumulators (est set, window 0)
 	epoch    time.Time
 	// watermark is the latest record event time delivered into the
-	// ingest path, in epoch seconds (float bits, CAS-max). For file and
-	// replay sources it is the sweep clock: record timestamps are
-	// logical, so comparing them against the wall clock would evict
-	// clients mid-session at -ingest-speed 100 and never at 0.01.
+	// ingest path, in epoch seconds (float bits, CAS-max). For file
+	// sources it is the sweep clock: record timestamps are logical, so
+	// comparing them against the wall clock would evict clients
+	// mid-session at -ingest-speed 100 and never at 0.01.
 	watermark atomic.Uint64
-	// logicalClock selects the watermark (true: file/replay sources)
-	// over wall time (false: live proxy) as the sweep clock.
+	// logicalClock selects the watermark (true: file sources) over wall
+	// time (false: live proxy) as the sweep clock.
 	logicalClock bool
 	// lastRotate is when (sweep clock) the intern tables last rotated;
 	// tick goroutine only.
@@ -387,7 +378,7 @@ type service struct {
 	// that a production (info-level) daemon would throw away.
 	debugLog bool
 	// batchPool recycles the scratch (line buffer, commit list) of
-	// onTransactionBatch / onTransaction calls across goroutines.
+	// onTransactionBatch calls across goroutines.
 	batchPool sync.Pool
 	proxy     *tlsproxy.Proxy
 	// src is the primary TransactionSource feeding the ingest path;
@@ -429,9 +420,14 @@ type service struct {
 
 	out   *sink
 	squid *sink
-	// sinkCh feeds the single writer goroutine; records enqueue under
-	// their shard lock, so each client's lines stay in commit order
-	// while the hot path never blocks on file I/O.
+	// sinkCh feeds the single writer goroutine, which writes lines in
+	// enqueue order, so the hot path never blocks on file I/O. Lines are
+	// enqueued before their records commit, outside any shard lock: a
+	// client's lines follow its delivery order when one goroutine
+	// delivers all of that client's records (every file source), but
+	// the live proxy delivers from per-connection goroutines, so there
+	// concurrent connections' lines land in whichever order they
+	// enqueue, which need not match commit order.
 	sinkCh   chan sinkMsg
 	sinkDone chan struct{}
 	sinkStop sync.Once
@@ -451,9 +447,8 @@ type shard struct {
 	// nothing else ever touches them.
 	cNames   []string
 	cCounts  []int
-	cRows    [][]float64 // row-at-a-time path (-classify-batch 0)
-	cBlock   []float64   // row-major block, cap(cNames) x stride
-	cProbs   []float64   // per-sweep probability scratch
+	cBlock   []float64 // row-major block, cap(cNames) x stride
+	cProbs   []float64 // per-sweep probability scratch
 	cClasses []int
 	cShadow  []int // challenger classes over the same rows (-shadow-model)
 }
@@ -472,6 +467,9 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	if opts.classifyWorkers > opts.shards {
 		opts.classifyWorkers = opts.shards
 	}
+	if opts.classifyBatch <= 0 {
+		opts.classifyBatch = 256
+	}
 	s := &service{
 		opts:       opts,
 		log:        logger,
@@ -483,7 +481,7 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	if est != nil {
 		s.track = opts.window <= 0
 	}
-	s.logicalClock = (opts.source != "" && opts.source != "proxy") || opts.replayPath != ""
+	s.logicalClock = opts.source != "" && opts.source != "proxy"
 	s.shards = make([]*shard, opts.shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{clients: map[string]*clientState{}}
@@ -550,18 +548,6 @@ func (d *driftTracker) observeBlock(block []float64, n, stride int) {
 	d.mu.Lock()
 	for r := 0; r < n; r++ {
 		row := block[r*stride : (r+1)*stride]
-		for j := range row {
-			d.obs[j].Observe(row[j])
-		}
-	}
-	d.mu.Unlock()
-}
-
-// observeRows is observeBlock for the row-at-a-time (-classify-batch 0)
-// gather path.
-func (d *driftTracker) observeRows(rows [][]float64) {
-	d.mu.Lock()
-	for _, row := range rows {
 		for j := range row {
 			d.obs[j].Observe(row[j])
 		}
@@ -703,10 +689,10 @@ func (s *service) noteEventTime(t float64) {
 }
 
 // sweepNow converts a tick's wall time to the sweep clock in epoch
-// seconds: the ingest watermark for file and replay sources (whose
-// record timestamps are logical and scaled by -ingest-speed or
-// -replay-speed, so the -window cutoff and -client-ttl comparisons
-// must use the records' own timescale), wall time for the live proxy.
+// seconds: the ingest watermark for file sources (whose record
+// timestamps are logical and scaled by -ingest-speed, so the -window
+// cutoff and -client-ttl comparisons must use the records' own
+// timescale), wall time for the live proxy.
 func (s *service) sweepNow(now time.Time) float64 {
 	if s.logicalClock {
 		return math.Float64frombits(s.watermark.Load())
@@ -783,9 +769,11 @@ func (s *service) startSinkWriter() {
 	}()
 }
 
-// enqueueSink hands one record line to the writer goroutine. Callers
-// enqueue under their shard lock so a client's lines keep commit
-// order; a full channel applies backpressure to that shard only.
+// enqueueSink hands one record line to the writer goroutine, which
+// writes it after every line enqueued before it. It takes no lock, so
+// ordering across goroutines is whatever order their sends land in; a
+// full channel blocks the calling delivery goroutine until the writer
+// catches up.
 func (s *service) enqueueSink(k *sink, line string) {
 	s.sinkCh <- sinkMsg{k: k, line: line}
 }
@@ -903,21 +891,6 @@ func run(opts options) error {
 			return fmt.Errorf("-shadow-model: %w", err)
 		}
 	}
-	var replayRecs []tlsproxy.ReplayRecord
-	if opts.replayPath != "" {
-		f, err := os.Open(opts.replayPath)
-		if err != nil {
-			return fmt.Errorf("-replay: %w", err)
-		}
-		replayRecs, err = tlsproxy.ReadWorkload(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if len(replayRecs) == 0 {
-			return fmt.Errorf("-replay: workload %s is empty", opts.replayPath)
-		}
-	}
 	s := newService(opts, logger, est)
 	s.pendingShadow = shadowEst
 	defer s.stopSinkWriter()
@@ -962,15 +935,13 @@ func run(opts options) error {
 	// proxy-stats metric bridges and /healthz stay live.
 	var src ingest.TransactionSource
 	var ps *ingest.ProxySource
+	var err error
 	switch source {
 	case "proxy":
-		var err error
-		ps, err = ingest.NewProxySource(tlsproxy.Config{Resolver: resolver})
-		if err != nil {
-			return err
+		if ps, err = ingest.NewProxySource(tlsproxy.Config{Resolver: resolver}); err == nil {
+			s.proxy = ps.Proxy()
+			src = ps
 		}
-		s.proxy = ps.Proxy()
-		src = ps
 	case "squid":
 		// Fail fast on an unreadable log before serving starts; the
 		// tailer itself tolerates rotation gaps later.
@@ -986,29 +957,16 @@ func run(opts options) error {
 			Horizon:      opts.ingestHorizon.Seconds(),
 			Follow:       opts.follow,
 			ParseWorkers: opts.parseWorkers,
-			Batch:        opts.ingestBatch,
 		}
 	case "pcap":
-		bs, err := ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		bs.Batch = opts.ingestBatch
-		src = bs
+		src, err = ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, opts.ingestSpeed, opts.ingestWorkers)
 	case "netflow":
-		bs, err := ingest.NewNetflowSource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		bs.Batch = opts.ingestBatch
-		src = bs
+		src, err = ingest.NewNetflowSource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
 	case "replay":
-		bs, err := ingest.NewReplaySource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		bs.Batch = opts.ingestBatch
-		src = bs
+		src, err = ingest.NewReplaySource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
+	}
+	if err != nil {
+		return err
 	}
 	if s.proxy == nil {
 		stub, err := tlsproxy.New(tlsproxy.Config{Resolver: resolver})
@@ -1042,16 +1000,9 @@ func run(opts options) error {
 	if ps == nil {
 		logger.Info("ingesting", "source", src.Name(), "input", opts.input)
 	}
-	// A positive -ingest-batch selects shard-batched delivery: records
-	// arrive coalesced and each shard lock is taken once per batch. Zero
-	// keeps the record-at-a-time path (useful for bisecting and as the
-	// reference ordering in tests).
-	handler := ingest.Handler{ConnOpen: s.onConnOpen}
-	if opts.ingestBatch > 0 {
-		handler.TransactionBatch = s.onTransactionBatch
-	} else {
-		handler.Transaction = s.onTransaction
-	}
+	// Records arrive coalesced and each shard lock is taken once per
+	// batch.
+	handler := ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch}
 	go func() {
 		defer close(runDone)
 		err := src.Run(srcCtx, handler)
@@ -1108,44 +1059,6 @@ func run(opts options) error {
 		}
 	}
 
-	// stopAux is everything serveLoop must halt before draining: the
-	// replay source first (no ingest may follow drain), then the metrics
-	// endpoint.
-	stopAux := stopHTTP
-	if len(replayRecs) > 0 {
-		rctx, rcancel := context.WithCancel(context.Background())
-		replayDone := make(chan struct{})
-		src := &tlsproxy.RecordSource{
-			Records: replayRecs,
-			Speed:   opts.replaySpeed,
-			Workers: opts.replayWorkers,
-		}
-		logger.Info("replaying workload", "path", opts.replayPath,
-			"records", len(replayRecs), "speed", opts.replaySpeed, "workers", src.Workers)
-		go func() {
-			defer close(replayDone)
-			var st tlsproxy.ReplayStats
-			if opts.ingestBatch > 0 {
-				st = src.RunBatched(rctx, s.epoch, s.onConnOpen, s.onTransactionBatch, opts.ingestBatch)
-			} else {
-				st = src.Run(rctx, s.epoch, s.onConnOpen, s.onTransaction)
-			}
-			attrs := []any{"records", st.Records, "clients", st.Clients,
-				"wall_seconds", st.Wall.Seconds(),
-				"records_per_second", float64(st.Records) / st.Wall.Seconds()}
-			if rctx.Err() != nil {
-				logger.Info("replay cancelled", attrs...)
-				return
-			}
-			logger.Info("replay complete", attrs...)
-		}()
-		stopAux = func() {
-			rcancel()
-			<-replayDone
-			stopHTTP()
-		}
-	}
-
 	// SIGHUP is registered alongside the shutdown signals: unregistered
 	// its default disposition would kill the daemon on a conventional
 	// `kill -HUP` log-rotation sweep; registered it triggers a model
@@ -1153,24 +1066,23 @@ func run(opts options) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	defer signal.Stop(sig)
-	return s.serveLoop(errCh, tick, sig, stopSource, stopAux)
+	return s.serveLoop(errCh, tick, sig, stopSource, stopHTTP)
 }
 
 // serveLoop is the daemon's main loop: it reacts to fatal source
 // errors, classification/eviction ticks, SIGHUP model reloads and
 // shutdown signals. Ticks are converted to the sweep clock (wall or
 // ingest watermark) before classifyPass/evictIdle see them. Both
-// exits — source death and a signal — stop the primary source, then
-// stopAux (the legacy -replay source, then the metrics endpoint),
-// before draining the sessionizers, so no ingest follows the drain and
-// pending decisions and the shutdown summary are never lost to a
-// crash-landing listener.
-func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopAux func()) error {
+// exits — source death and a signal — stop the source, then the
+// metrics endpoint, before draining the sessionizers, so no ingest
+// follows the drain and pending decisions and the shutdown summary are
+// never lost to a crash-landing listener.
+func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
 	for {
 		select {
 		case err := <-errCh:
 			stopSource()
-			stopAux()
+			stopHTTP()
 			s.shutdownState()
 			return err
 		case now := <-tick:
@@ -1187,10 +1099,10 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 			s.log.Info("shutting down", "signal", got.String())
 			// Stop the source: in proxy mode that stops accepting and
 			// drains open relays (their final records arrive through
-			// onTransaction before Run returns); file sources flush their
-			// reorder buffers. Then stop replay and the metrics endpoint.
+			// onTransactionBatch before Run returns); file sources flush
+			// their reorder buffers. Then stop the metrics endpoint.
 			stopSource()
-			stopAux()
+			stopHTTP()
 			s.shutdownState()
 			return nil
 		}
@@ -1614,59 +1526,15 @@ func (s *service) debugTransaction(r tlsproxy.Record, client string) {
 		"duration_s", r.End.Sub(r.Start).Seconds(), "up_bytes", r.UpBytes, "down_bytes", r.DownBytes)
 }
 
-// onTransaction exports a completed transaction to the configured
-// sinks and feeds the client's online sessionizer. Record conversion,
-// line formatting and logging happen before the shard lock; only the
-// state mutation and the sink enqueue (which preserves the client's
-// record order) run under it.
-func (s *service) onTransaction(r tlsproxy.Record) {
-	client := clientHost(r.ClientAddr)
-	if !s.owns(client) {
-		s.noteEventTime(r.End.Sub(s.epoch).Seconds())
-		s.mSkipped.Inc()
-		return
-	}
-	txn := tlsproxy.ToCaptureTransaction(r, s.epoch)
-	s.mTxns.Inc()
-	var outLine, squidLine string
-	if s.out != nil || s.squid != nil {
-		sc := s.batchPool.Get().(*batchScratch)
-		buf := sc.buf
-		if s.out != nil {
-			buf = appendOutLine(buf[:0], client, txn)
-			outLine = string(buf)
-		}
-		if s.squid != nil {
-			buf = append(squidlog.AppendEntry(buf[:0], client, txn, float64(s.epoch.Unix())), '\n')
-			squidLine = string(buf)
-		}
-		sc.buf = buf
-		s.batchPool.Put(sc)
-	}
-	if s.debugLog {
-		s.debugTransaction(r, client)
-	}
-
-	sh := s.shardFor(client)
-	s.lockIngest(sh)
-	defer sh.mu.Unlock()
-	if outLine != "" {
-		s.enqueueSink(s.out, outLine)
-	}
-	if squidLine != "" {
-		s.enqueueSink(s.squid, squidLine)
-	}
-	s.commitTransaction(sh, client, r.ConnID, txn)
-}
-
-// onTransactionBatch is onTransaction for a coalesced record batch,
-// split into two phases. Phase one walks the batch in delivery order
-// with no locks held: counters, sink lines (built in a pooled buffer
-// and enqueued immediately — order is preserved because one source
-// goroutine delivers all of a client's records, and the writer drains
-// in enqueue order), debug logs. Phase two commits per-client state
-// grouped by shard, taking each shard's lock once per batch instead of
-// once per record; within a shard, commits apply in delivery order.
+// onTransactionBatch exports a batch of completed transactions to the
+// configured sinks and feeds each client's online sessionizer, in two
+// phases. Phase one walks the batch in delivery order with no locks
+// held: counters, debug logs and sink lines, built in a pooled buffer
+// and enqueued at once, so the batch's lines reach the writer in
+// delivery order (see service.sinkCh for what that means across
+// goroutines). Phase two commits per-client state grouped by shard,
+// taking each shard's lock once per batch instead of once per record;
+// within a shard, commits apply in delivery order.
 func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	sc := s.batchPool.Get().(*batchScratch)
 	commits := sc.commits[:0]
@@ -1785,15 +1653,20 @@ func (s *service) advance(client string, cs *clientState) {
 		return m, true
 	}
 	wm, bounded := watermark()
-	for len(cs.buffer) > 0 {
-		if bounded && cs.buffer[0].Start > wm {
+	// Released transactions are consumed by index and the remainder
+	// copied down once, so draining a backlog stays linear.
+	n := 0
+	for ; n < len(cs.buffer); n++ {
+		txn := cs.buffer[n]
+		if bounded && txn.Start > wm {
 			break
 		}
-		txn := cs.buffer[0]
-		cs.buffer = append(cs.buffer[:0], cs.buffer[1:]...)
 		cs.inFlight = append(cs.inFlight, txn)
 		decisions := cs.streamer.Push(sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
 		s.apply(client, cs, decisions)
+	}
+	if n > 0 {
+		cs.buffer = cs.buffer[:copy(cs.buffer, cs.buffer[n:])]
 	}
 }
 
@@ -1801,9 +1674,10 @@ func (s *service) advance(client string, cs *clientState) {
 // current session, decided transactions join it. The caller holds the
 // client's shard lock.
 func (s *service) apply(client string, cs *clientState, decisions []sessionid.Decision) {
-	for _, d := range decisions {
-		full := cs.inFlight[0]
-		cs.inFlight = append(cs.inFlight[:0], cs.inFlight[1:]...)
+	// Decision i resolves cs.inFlight[i]; the decided prefix is dropped
+	// with one copy-down after the loop.
+	for i, d := range decisions {
+		full := cs.inFlight[i]
 		if d.NewSession {
 			cs.boundaries++
 			s.mBoundaries.Inc()
@@ -1822,6 +1696,9 @@ func (s *service) apply(client string, cs *clientState, decisions []sessionid.De
 			cs.tracked.Observe(full)
 			s.mIngested.Inc()
 		}
+	}
+	if len(decisions) > 0 {
+		cs.inFlight = cs.inFlight[:copy(cs.inFlight, cs.inFlight[len(decisions):])]
 	}
 	if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
 		s.noteTruncation(cs)
@@ -1875,11 +1752,10 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 // feature rows are gathered into one contiguous row-major block under
 // that shard's lock only — ingest on other shards never stalls — and
 // then swept through the compiled scorer's batched predictor outside
-// the lock, -classify-batch rows per call (0 falls back to the
-// row-at-a-time predictor). The per-shard results merge in shard order
-// and sort by client, so logs, counters and stored classes are
-// identical at every (shards, workers, batch) setting. Safe to call
-// concurrently with traffic.
+// the lock, options.classifyBatch rows per call. The per-shard results
+// merge in shard order and sort by client, so logs, counters and
+// stored classes are identical at every (shards, workers, batch)
+// setting. Safe to call concurrently with traffic.
 //
 // The serving bundle is Loaded exactly once, up front: a reload landing
 // mid-pass takes effect at the next pass, never inside one. When the
@@ -1904,7 +1780,6 @@ func (s *service) classifyPass(nowSec float64) {
 		t0 := time.Now()
 		sh.cNames = sh.cNames[:0]
 		sh.cCounts = sh.cCounts[:0]
-		sh.cRows = sh.cRows[:0]
 		sh.cBlock = sh.cBlock[:0]
 		sh.mu.Lock()
 		for client, cs := range sh.clients {
@@ -1920,11 +1795,7 @@ func (s *service) classifyPass(nowSec float64) {
 			}
 			sh.cNames = append(sh.cNames, client)
 			sh.cCounts = append(sh.cCounts, n)
-			if batch > 0 {
-				sh.cBlock = append(sh.cBlock, row...)
-			} else {
-				sh.cRows = append(sh.cRows, row)
-			}
+			sh.cBlock = append(sh.cBlock, row...)
 		}
 		sh.mu.Unlock()
 		build := time.Since(t0)
@@ -1938,26 +1809,10 @@ func (s *service) classifyPass(nowSec float64) {
 			sh.cClasses = make([]int, rows)
 		}
 		sh.cClasses = sh.cClasses[:rows]
-		var err error
-		if batch > 0 {
-			if cap(sh.cProbs) < batch*nc {
-				sh.cProbs = make([]float64, batch*nc)
-			}
-			for lo := 0; lo < rows && err == nil; lo += batch {
-				hi := lo + batch
-				if hi > rows {
-					hi = rows
-				}
-				err = m.est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
-					hi-lo, sh.cProbs[:(hi-lo)*nc], sh.cClasses[lo:hi])
-			}
-		} else if rows > 0 {
-			var classes []int
-			classes, err = m.est.ClassifyRows(sh.cRows)
-			if err == nil {
-				copy(sh.cClasses, classes)
-			}
+		if cap(sh.cProbs) < batch*nc {
+			sh.cProbs = make([]float64, batch*nc)
 		}
+		err := sweepBlock(m.est, sh, sh.cClasses, rows, stride, nc, batch)
 		// The challenger sweeps the same rows after the primary; its only
 		// output is counters, so a shadow failure never fails the pass.
 		if m.shadow != nil && err == nil {
@@ -1965,7 +1820,7 @@ func (s *service) classifyPass(nowSec float64) {
 				sh.cShadow = make([]int, rows)
 			}
 			sh.cShadow = sh.cShadow[:rows]
-			if serr := s.shadowSweep(m, sh, rows, stride, nc, batch); serr != nil {
+			if serr := sweepBlock(m.shadow.est, sh, sh.cShadow, rows, stride, nc, batch); serr != nil {
 				s.log.Error("shadow classification failed", "err", serr)
 				sh.cShadow = sh.cShadow[:0]
 			}
@@ -1973,11 +1828,7 @@ func (s *service) classifyPass(nowSec float64) {
 			sh.cShadow = sh.cShadow[:0]
 		}
 		if m.drift != nil && err == nil {
-			if batch > 0 {
-				m.drift.observeBlock(sh.cBlock, rows, stride)
-			} else {
-				m.drift.observeRows(sh.cRows)
-			}
+			m.drift.observeBlock(sh.cBlock, rows, stride)
 		}
 		sweep := time.Since(t1)
 		sweepNanos.Add(int64(sweep))
@@ -2038,30 +1889,17 @@ func (s *service) classifyPass(nowSec float64) {
 	}
 }
 
-// shadowSweep runs the challenger over a shard's already-gathered rows
-// into sh.cShadow, mirroring the primary's batched/row-at-a-time split.
-func (s *service) shadowSweep(m *servingModel, sh *shard, rows, stride, nc, batch int) error {
-	if batch > 0 {
-		for lo := 0; lo < rows; lo += batch {
-			hi := lo + batch
-			if hi > rows {
-				hi = rows
-			}
-			if err := m.shadow.est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
-				hi-lo, sh.cProbs[:(hi-lo)*nc], sh.cShadow[lo:hi]); err != nil {
-				return err
-			}
+// sweepBlock classifies a shard's gathered row block with est, batch
+// rows per call, writing row r's class to out[r]. The primary and the
+// shadow challenger both sweep the same block through it.
+func sweepBlock(est *core.Estimator, sh *shard, out []int, rows, stride, nc, batch int) error {
+	for lo := 0; lo < rows; lo += batch {
+		hi := min(lo+batch, rows)
+		if err := est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
+			hi-lo, sh.cProbs[:(hi-lo)*nc], out[lo:hi]); err != nil {
+			return err
 		}
-		return nil
 	}
-	if rows == 0 {
-		return nil
-	}
-	classes, err := m.shadow.est.ClassifyRows(sh.cRows)
-	if err != nil {
-		return err
-	}
-	copy(sh.cShadow, classes)
 	return nil
 }
 

@@ -254,8 +254,8 @@ func TestClassifyPassPaths(t *testing.T) {
 	}
 }
 
-// TestRunReplay boots the daemon with a -replay workload instead of
-// live traffic and checks the records flow through the real ingest
+// TestRunReplay boots the daemon with -source replay instead of live
+// traffic and checks the records flow through the real ingest
 // path: transaction and classification metrics move, and shutdown
 // still drains cleanly.
 func TestRunReplay(t *testing.T) {
@@ -319,8 +319,9 @@ func TestRunReplay(t *testing.T) {
 			metricsAddr:   metricsAddr,
 			classifyEvery: 100 * time.Millisecond,
 			classifyBatch: 8,
-			replayPath:    workloadPath,
-			replayWorkers: 2,
+			source:        "replay",
+			input:         workloadPath,
+			ingestWorkers: 2,
 		})
 	}()
 

@@ -77,7 +77,7 @@ func profileEvents(t *testing.T, profile *has.ServiceProfile, seed int64, sessio
 func feed(s *service, events []tlsproxy.Record) {
 	for _, e := range events {
 		s.onConnOpen(e)
-		s.onTransaction(e)
+		s.ingestOne(e)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	baseline.out = &sink{w: &baseCSV, name: "out"}
 	for i, e := range events {
 		baseline.onConnOpen(e)
-		baseline.onTransaction(e)
+		baseline.ingestOne(e)
 		passAt(baseline, i)
 	}
 	finish(baseline)
@@ -270,7 +270,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	a.out = &sink{w: &aCSV, name: "out"}
 	for i, e := range events[:cut] {
 		a.onConnOpen(e)
-		a.onTransaction(e)
+		a.ingestOne(e)
 		passAt(a, i)
 	}
 	a.shutdownState()
@@ -291,7 +291,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	}
 	for i, e := range events[cut:] {
 		b.onConnOpen(e)
-		b.onTransaction(e)
+		b.ingestOne(e)
 		passAt(b, cut+i)
 	}
 	finish(b)
@@ -379,7 +379,7 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 			// Cold but alive: the daemon must serve normally afterwards.
 			rec := s.record(1, "10.0.0.1:4000", "cdn.example", 1, 2, 100, 200)
 			s.onConnOpen(rec)
-			s.onTransaction(rec)
+			s.ingestOne(rec)
 			s.classifyPass(3)
 			if s.clientCount() != 1 {
 				t.Fatal("service not usable after failed restore")

@@ -102,7 +102,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 					DownBytes:  txn.DownBytes,
 				}
 				// The canonical transaction, roundtripped through the same
-				// time conversion onTransaction applies, so the baseline
+				// time conversion onTransactionBatch applies, so the baseline
 				// sees bit-identical values to the ring.
 				shifted = append(shifted, capture.TLSTransaction{
 					SNI:       txn.SNI,
@@ -112,7 +112,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 					DownBytes: txn.DownBytes,
 				})
 				s.onConnOpen(rec)
-				s.onTransaction(rec)
+				s.ingestOne(rec)
 				if e := base + txn.End; e > roundEnd {
 					roundEnd = e
 				}

@@ -65,7 +65,7 @@ func TestTrackedRowMatchesBatch(t *testing.T) {
 }
 
 // TestClassifyTrackedMatchesClassify checks incremental predictions
-// agree with the batch entry points, including via pre-extracted rows.
+// agree with the batch entry point.
 func TestClassifyTrackedMatchesClassify(t *testing.T) {
 	sessions := trainingData(t, 120)
 	est := newEstimator()
@@ -74,15 +74,10 @@ func TestClassifyTrackedMatchesClassify(t *testing.T) {
 	if _, err := est.ClassifyTracked(ts, nil); err == nil {
 		t.Error("untrained estimator classified tracked session")
 	}
-	if _, err := est.ClassifyRows(nil); err == nil {
-		t.Error("untrained estimator classified rows")
-	}
 
 	if err := est.Train(sessions); err != nil {
 		t.Fatal(err)
 	}
-	var rows [][]float64
-	var want []int
 	for _, s := range sessions[:15] {
 		ts.Reset()
 		cut := len(s.TLS) / 2
@@ -97,17 +92,6 @@ func TestClassifyTrackedMatchesClassify(t *testing.T) {
 		}
 		if got != batch {
 			t.Fatalf("ClassifyTracked = %d, Classify = %d", got, batch)
-		}
-		rows = append(rows, est.TrackedRow(ts, s.TLS[cut:], nil))
-		want = append(want, batch)
-	}
-	preds, err := est.ClassifyRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range preds {
-		if preds[i] != want[i] {
-			t.Fatalf("ClassifyRows[%d] = %d, want %d", i, preds[i], want[i])
 		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 // fail fast on unreadable or empty inputs.
 type BatchSource struct {
 	// Batch caps how many completed records are coalesced per
-	// TransactionBatch call when the handler batches; <= 0 means the
-	// default (256). Ignored for handlers using per-record Transaction.
+	// TransactionBatch call; <= 0 means the default (256).
 	Batch int
 
 	name    string
@@ -31,8 +30,8 @@ type BatchSource struct {
 	tally
 }
 
-// defaultBatch is the transaction coalescing size when a batching
-// handler does not choose one.
+// defaultBatch is the transaction coalescing size when a source's
+// Batch is unset.
 const defaultBatch = 256
 
 // newBatchSource quantizes the workload's offsets and pre-counts the
@@ -59,9 +58,9 @@ func (s *BatchSource) Name() string { return s.name }
 
 // Run replays the workload into h at the configured pace. Delivery of
 // a loaded workload cannot fail, so Run always returns nil — either
-// every event was delivered or ctx was cancelled. A handler with
-// TransactionBatch set receives records coalesced (up to Batch per
-// call) through tlsproxy.RecordSource's batched delivery path.
+// every event was delivered or ctx was cancelled. Completed records
+// arrive coalesced, up to Batch per TransactionBatch call, through
+// tlsproxy.RecordSource's batched delivery path.
 func (s *BatchSource) Run(ctx context.Context, h Handler) error {
 	src := &tlsproxy.RecordSource{Records: s.records, Speed: s.speed, Workers: s.workers}
 	open := func(r tlsproxy.Record) {
@@ -69,25 +68,17 @@ func (s *BatchSource) Run(ctx context.Context, h Handler) error {
 			h.ConnOpen(r)
 		}
 	}
-	if h.TransactionBatch != nil {
-		maxBatch := s.Batch
-		if maxBatch <= 0 {
-			maxBatch = defaultBatch
-		}
-		src.RunBatched(ctx, s.base, open,
-			func(recs []tlsproxy.Record) {
-				h.TransactionBatch(recs)
-				s.tally.records.Add(int64(len(recs)))
-			}, maxBatch)
-		return nil
+	maxBatch := s.Batch
+	if maxBatch <= 0 {
+		maxBatch = defaultBatch
 	}
-	src.Run(ctx, s.base, open,
-		func(r tlsproxy.Record) {
-			if h.Transaction != nil {
-				h.Transaction(r)
+	src.RunBatched(ctx, s.base, open,
+		func(recs []tlsproxy.Record) {
+			if h.TransactionBatch != nil {
+				h.TransactionBatch(recs)
 			}
-			s.tally.records.Add(1)
-		})
+			s.tally.records.Add(int64(len(recs)))
+		}, maxBatch)
 	return nil
 }
 

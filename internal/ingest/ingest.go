@@ -12,12 +12,13 @@
 //
 // A source delivers two event kinds, mirroring tlsproxy's callbacks:
 // ConnOpen announces a connection at its start time (a partial Record),
-// Transaction delivers the completed record at its end time. For every
-// client, events arrive on a single goroutine in non-decreasing event
-// time, and a connection's open always precedes its transaction. File
-// sources replay the global event sequence sorted by (event time, file
-// order), exactly as tlsproxy.RecordSource does, so downstream output
-// is byte-identical no matter which format carried the records.
+// TransactionBatch delivers completed records at their end times, in
+// runs. For every client, events of a file source arrive on a single
+// goroutine in non-decreasing event time, and a connection's open
+// always precedes its transaction. File sources replay the global
+// event sequence sorted by (event time, file order), exactly as
+// tlsproxy.RecordSource does, so downstream output is byte-identical
+// no matter which format carried the records.
 //
 // # The clock contract
 //
@@ -56,33 +57,15 @@ type Handler struct {
 	// ConnOpen is invoked at a connection's start time with a partial
 	// record (no end time or byte counts yet).
 	ConnOpen func(tlsproxy.Record)
-	// Transaction is invoked at a connection's end time with the
-	// completed record.
-	Transaction func(tlsproxy.Record)
-	// TransactionBatch, when set, replaces Transaction (which is then
-	// ignored): sources that can coalesce deliver completed records in
-	// runs, taking downstream locks once per run instead of once per
-	// record. The event order a batching source presents is unchanged —
-	// batches are flushed before any ConnOpen on the same goroutine,
-	// before pacing sleeps, and at end of input, and records within a
-	// batch appear in delivery order. The slice is reused after the call
-	// returns; handlers must copy anything they retain. Sources with no
-	// natural batching (the live proxy) wrap each record in a
-	// one-element batch.
+	// TransactionBatch receives completed records in runs, so the
+	// handler can take downstream locks once per run instead of once per
+	// record. Batching leaves the event order unchanged: batches are
+	// flushed before any ConnOpen on the same goroutine, before pacing
+	// sleeps, and at end of input, and records within a batch appear in
+	// delivery order. The slice is reused after the call returns;
+	// handlers must copy anything they retain. Sources with no natural
+	// batching (the live proxy) wrap each record in a one-element batch.
 	TransactionBatch func([]tlsproxy.Record)
-}
-
-// deliver routes one completed record through whichever transaction
-// callback the handler carries.
-func (h Handler) deliver(r tlsproxy.Record) {
-	if h.TransactionBatch != nil {
-		one := [1]tlsproxy.Record{r}
-		h.TransactionBatch(one[:])
-		return
-	}
-	if h.Transaction != nil {
-		h.Transaction(r)
-	}
 }
 
 // Stats is a live snapshot of a source's delivery counters, safe to

@@ -101,8 +101,11 @@ func (s *ProxySource) connOpen(r tlsproxy.Record) {
 }
 
 // transaction forwards a completed record; the live proxy has no
-// natural batch, so a batching handler sees one-element batches.
+// natural batch, so the handler sees one-element batches.
 func (s *ProxySource) transaction(r tlsproxy.Record) {
 	s.records.Add(1)
-	s.handler().deliver(r)
+	if h := s.handler(); h.TransactionBatch != nil {
+		one := [1]tlsproxy.Record{r}
+		h.TransactionBatch(one[:])
+	}
 }

@@ -65,8 +65,7 @@ type SquidSource struct {
 	// every downstream byte — is identical at any worker count.
 	ParseWorkers int
 	// Batch caps how many transaction events are coalesced per
-	// TransactionBatch call for handlers that batch; <= 0 means the
-	// package default. Ignored for per-record handlers.
+	// TransactionBatch call; <= 0 means the package default (256).
 	Batch int
 
 	tally
@@ -284,24 +283,19 @@ func (d *squidDelivery) deliver(ev squidEvent) {
 		}
 		return
 	}
-	if d.h.TransactionBatch != nil {
-		d.batch = append(d.batch, ev.rec)
-		if len(d.batch) >= d.maxBatch {
-			d.flushBatch()
-		}
-		return
+	d.batch = append(d.batch, ev.rec)
+	if len(d.batch) >= d.maxBatch {
+		d.flushBatch()
 	}
-	if d.h.Transaction != nil {
-		d.h.Transaction(ev.rec)
-	}
-	d.s.records.Add(1)
 }
 
 func (d *squidDelivery) flushBatch() {
 	if len(d.batch) == 0 {
 		return
 	}
-	d.h.TransactionBatch(d.batch)
+	if d.h.TransactionBatch != nil {
+		d.h.TransactionBatch(d.batch)
+	}
 	d.s.records.Add(int64(len(d.batch)))
 	d.batch = d.batch[:0]
 }
@@ -334,9 +328,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 		haveEpoch: s.EpochUnix >= 0,
 		maxEnd:    math.Inf(-1),
 		maxBatch:  maxBatch,
-	}
-	if h.TransactionBatch != nil {
-		d.batch = make([]tlsproxy.Record, 0, maxBatch)
+		batch:     make([]tlsproxy.Record, 0, maxBatch),
 	}
 	var sink lineSink = d
 	if s.ParseWorkers > 1 {

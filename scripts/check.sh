@@ -23,6 +23,11 @@ go run ./scripts/doclint internal/sessionid internal/tlsproxy internal/squidlog 
 echo "== go test =="
 go test ./...
 
+echo "== perfbench module (vet + tests) =="
+# perfbench is a nested module, so the root go test ./... skips it; it
+# imports internal/ingest, internal/core and internal/tlsproxy.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race (concurrent packages, incl. faultinject chaos tests and qoeproxy shard invariance) =="
 # -timeout 20m: the experiments paper-shape suite takes ~10 wall-clock
 # minutes under the race detector on a 1-core host, right at go test's
@@ -50,7 +55,7 @@ fi
 echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, SIGTERM drain) =="
 go run ./scripts/smoke
 
-echo "== qoeload soak (replay a few hundred clients through the real service loop) =="
+echo "== qoeload soak (replay a few hundred clients through -source replay) =="
 # Fails on dropped records, classification errors, sink write failures
 # or a dead /healthz. Small enough (~10s including the daemon build) to
 # run on every check; BENCH_load.json proper uses 10k+ clients.
