@@ -632,16 +632,18 @@ func driveSockets(proxyAddr string, w *workload, o loadOptions, ev *daemonEvents
 	src := &tlsproxy.RecordSource{Records: w.records, Speed: o.speed, Workers: o.socketWorkers}
 	start := time.Now()
 	var delivered atomic.Int64
-	src.Run(context.Background(), time.Now(), nil, func(r tlsproxy.Record) {
-		c, err := tlsproxy.Dial(proxyAddr, r.SNI)
-		if err != nil {
-			return
+	src.RunBatched(context.Background(), time.Now(), nil, func(batch []tlsproxy.Record) {
+		for _, r := range batch {
+			c, err := tlsproxy.Dial(proxyAddr, r.SNI)
+			if err != nil {
+				continue
+			}
+			if _, err := c.Fetch(r.DownBytes); err == nil {
+				delivered.Add(1)
+			}
+			c.Close()
 		}
-		if _, err := c.Fetch(r.DownBytes); err == nil {
-			delivered.Add(1)
-		}
-		c.Close()
-	})
+	}, 1)
 	select {
 	case ev.replayDone <- replayOutcome{delivered.Load(), time.Since(start).Seconds()}:
 	default:

@@ -61,7 +61,7 @@ func (b *logBuffer) countLogMsg(t *testing.T, msg string) int {
 // (non-serving) proxy for the stats bridges, captured logs, and the
 // given options/estimator. An optional trailing estimator becomes the
 // shadow challenger, installed in the first serving bundle.
-func newTestService(t *testing.T, opts options, est *core.Estimator, shadow ...*core.Estimator) (*service, *logBuffer) {
+func newTestService(t testing.TB, opts options, est *core.Estimator, shadow ...*core.Estimator) (*service, *logBuffer) {
 	t.Helper()
 	logs := &logBuffer{}
 	proxy, err := tlsproxy.New(tlsproxy.Config{Resolver: tlsproxy.StaticResolver("127.0.0.1:9")})
@@ -188,7 +188,7 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		s.ingestOne(r)
 	}
 	cs := s.client("10.2.2.2")
-	pending := len(cs.inFlight) + len(cs.buffer)
+	pending := len(cs.inFlight()) + len(cs.buffered())
 	if pending == 0 {
 		t.Fatal("test needs transactions still pending inside the streamer's look-ahead")
 	}
@@ -200,12 +200,12 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		t.Fatalf("serveLoop returned %v, want the listener error", err)
 	}
 
-	if len(cs.inFlight) != 0 || len(cs.buffer) != 0 {
+	if len(cs.inFlight()) != 0 || len(cs.buffered()) != 0 {
 		t.Errorf("listener-error exit left %d in-flight and %d buffered transactions undrained",
-			len(cs.inFlight), len(cs.buffer))
+			len(cs.inFlight()), len(cs.buffered()))
 	}
-	if len(cs.current) != n {
-		t.Errorf("current session has %d transactions after drain, want %d", len(cs.current), n)
+	if len(cs.current()) != n {
+		t.Errorf("current session has %d transactions after drain, want %d", len(cs.current()), n)
 	}
 }
 

@@ -92,6 +92,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -235,26 +236,24 @@ type clientState struct {
 	// activeStarts maps in-flight connection IDs to their start time in
 	// epoch seconds; the minimum is the sessionizer watermark.
 	activeStarts map[uint64]float64
-	// buffer holds completed transactions not yet safe to hand the
-	// (start-ordered) streamer, sorted by Start.
-	buffer []capture.TLSTransaction
-	// inFlight mirrors the streamer's pending transactions with their
-	// byte counts; decisions pop from the front.
-	inFlight []capture.TLSTransaction
-	// current accumulates the decided transactions of the current
-	// session; a detected boundary resets it.
-	current []capture.TLSTransaction
-	// tracked mirrors current in an incremental feature accumulator
+	// run is the ongoing session, one slice in three segments:
+	// run[:decided] is the current session, the next streamer.Pending()
+	// entries mirror the sessionizer's look-ahead, and the rest is the
+	// reorder buffer, sorted by Start, waiting on the watermark (the
+	// earliest start among open connections). The watermark never
+	// decreases and releases leave the buffer's front, so the segments
+	// concatenate in start order — except that the live proxy may commit
+	// a connection behind a released one (Start is set at accept,
+	// OnConnOpen fires after the dial). Traffic belongs to the ongoing
+	// session until a boundary says otherwise, so a client with one
+	// long-lived connection is classifiable before any window closes.
+	run     []capture.TLSTransaction
+	decided int
+	// tracked mirrors run[:decided] in an incremental feature accumulator
 	// (window 0 mode only): classify passes read the maintained vector
 	// and fold the still-undecided transactions in speculatively, so a
 	// pass costs O(new transactions), not O(session length).
 	tracked *core.TrackedSession
-	// winTxns is the reusable scratch for a pass's per-client
-	// transaction list (the sliding-window filtrate, or the speculative
-	// pending list in incremental mode).
-	winTxns []capture.TLSTransaction
-	// row is the client's reusable feature-row buffer.
-	row []float64
 	// recent retains the most recent transactions (capped at
 	// -max-session-txns) for the shutdown/eviction summary; lifetime
 	// aggregates below summarize what the ring has dropped.
@@ -311,30 +310,28 @@ func (r *txnRing) snapshot(dst []capture.TLSTransaction) []capture.TLSTransactio
 	return append(dst, r.buf[:r.start]...)
 }
 
-// capRun bounds a transaction run to limit entries, dropping the
-// oldest once it overshoots the limit by half — the slack amortizes
-// the copy-down to O(1) per transaction. It reports how many entries
-// were dropped.
-func capRun(run *[]capture.TLSTransaction, limit int) int {
-	if limit <= 0 || len(*run) <= limit+limit/2 {
+// current, inFlight and buffered are the three segments of run.
+func (cs *clientState) current() []capture.TLSTransaction { return cs.run[:cs.decided] }
+func (cs *clientState) inFlight() []capture.TLSTransaction {
+	return cs.run[cs.decided:cs.bufferStart()]
+}
+func (cs *clientState) buffered() []capture.TLSTransaction { return cs.run[cs.bufferStart():] }
+
+// bufferStart is the index in run where the reorder buffer begins.
+func (cs *clientState) bufferStart() int { return cs.decided + cs.streamer.Pending() }
+
+// capSegment bounds the run segment [lo, hi) to limit entries,
+// dropping its oldest once it overshoots the limit by half — the slack
+// amortizes the copy-down to O(1) per transaction. Entries past hi
+// shift down. It reports how many entries were dropped.
+func (cs *clientState) capSegment(lo, hi, limit int) int {
+	if limit <= 0 || hi-lo <= limit+limit/2 {
 		return 0
 	}
-	r := *run
-	drop := len(r) - limit
-	n := copy(r, r[drop:])
-	*run = r[:n]
+	drop := hi - lo - limit
+	cs.run = slices.Delete(cs.run, lo, lo+drop)
 	return drop
 }
-
-// ongoingOrdered invariant: cs.current ++ cs.inFlight ++ cs.buffer is
-// the client's ongoing session in start order, with no sort needed.
-// The watermark (minimum start among open connections) never
-// decreases, transactions are released to the streamer in start order,
-// and every buffered transaction starts strictly after every released
-// one — so the three runs concatenate sorted. Observed traffic belongs
-// to the ongoing session until a boundary says otherwise, which keeps
-// a client with one long-lived connection classifiable before any
-// look-ahead window ever closes.
 
 // service is the running daemon: proxy plus sessionizers, estimator,
 // metrics and log sinks. Per-client state lives in lock shards so
@@ -450,7 +447,9 @@ type shard struct {
 	cBlock   []float64 // row-major block, cap(cNames) x stride
 	cProbs   []float64 // per-sweep probability scratch
 	cClasses []int
-	cShadow  []int // challenger classes over the same rows (-shadow-model)
+	cShadow  []int                    // challenger classes over the same rows (-shadow-model)
+	cTxns    []capture.TLSTransaction // one client's sliding-window filtrate
+	cRow     []float64                // one client's feature row, copied into cBlock
 }
 
 // newService assembles the daemon state around the given options,
@@ -1289,7 +1288,7 @@ func (s *service) registerMetrics() {
 			for _, sh := range s.shards {
 				sh.mu.Lock()
 				for _, cs := range sh.clients {
-					if len(cs.current)+len(cs.inFlight)+len(cs.buffer) > 0 {
+					if len(cs.run) > 0 {
 						n++
 					}
 				}
@@ -1609,16 +1608,15 @@ func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn
 		s.noteTruncation(cs)
 	}
 	delete(cs.activeStarts, connID)
-	// Insert sorted by start: connections end out of order, the
-	// sessionizer wants start order.
-	i := sort.Search(len(cs.buffer), func(j int) bool { return cs.buffer[j].Start > txn.Start })
-	cs.buffer = append(cs.buffer, capture.TLSTransaction{})
-	copy(cs.buffer[i+1:], cs.buffer[i:])
-	cs.buffer[i] = txn
+	// Insert into the reorder buffer sorted by start: connections end
+	// out of order, the sessionizer wants start order.
+	b := cs.bufferStart()
+	i := b + sort.Search(len(cs.run)-b, func(j int) bool { return cs.run[b+j].Start > txn.Start })
+	cs.run = slices.Insert(cs.run, i, txn)
 	// A single long-lived connection can pin the watermark while later
 	// transactions pile up behind it; the reorder buffer is capped like
-	// every other per-client run.
-	if capRun(&cs.buffer, s.opts.maxSessionTxns) > 0 {
+	// the current session.
+	if cs.capSegment(b, len(cs.run), s.opts.maxSessionTxns) > 0 {
 		s.noteTruncation(cs)
 	}
 	s.advance(client, cs)
@@ -1639,34 +1637,22 @@ func (s *service) noteTruncation(cs *clientState) {
 // the streaming sessionizer and applies the resulting decisions. The
 // caller holds the client's shard lock.
 func (s *service) advance(client string, cs *clientState) {
-	watermark := func() (float64, bool) {
-		if len(cs.activeStarts) == 0 {
-			return 0, false // no open connections: everything is safe
+	// With no open connection the watermark is unbounded: everything
+	// is safe to release.
+	wm, bounded := 0.0, false
+	for _, start := range cs.activeStarts {
+		if !bounded || start < wm {
+			wm, bounded = start, true
 		}
-		min := false
-		m := 0.0
-		for _, start := range cs.activeStarts {
-			if !min || start < m {
-				m, min = start, true
-			}
-		}
-		return m, true
 	}
-	wm, bounded := watermark()
-	// Released transactions are consumed by index and the remainder
-	// copied down once, so draining a backlog stays linear.
-	n := 0
-	for ; n < len(cs.buffer); n++ {
-		txn := cs.buffer[n]
+	// Pushing the buffer's front moves it into the in-flight segment:
+	// the segment boundary follows streamer.Pending(), nothing is copied.
+	for b := cs.bufferStart(); b < len(cs.run); b = cs.bufferStart() {
+		txn := cs.run[b]
 		if bounded && txn.Start > wm {
 			break
 		}
-		cs.inFlight = append(cs.inFlight, txn)
-		decisions := cs.streamer.Push(sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
-		s.apply(client, cs, decisions)
-	}
-	if n > 0 {
-		cs.buffer = cs.buffer[:copy(cs.buffer, cs.buffer[n:])]
+		s.apply(client, cs, cs.streamer.Push(sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI}))
 	}
 }
 
@@ -1674,40 +1660,41 @@ func (s *service) advance(client string, cs *clientState) {
 // current session, decided transactions join it. The caller holds the
 // client's shard lock.
 func (s *service) apply(client string, cs *clientState, decisions []sessionid.Decision) {
-	// Decision i resolves cs.inFlight[i]; the decided prefix is dropped
-	// with one copy-down after the loop.
+	// Decision i resolves run[decided+i]. A boundary starts the session
+	// over at its transaction; the closed session is dropped with one
+	// copy-down after the loop.
+	start := 0
 	for i, d := range decisions {
-		full := cs.inFlight[i]
+		at := cs.decided + i
 		if d.NewSession {
 			cs.boundaries++
 			s.mBoundaries.Inc()
 			if s.debugLog {
 				s.log.Debug("session boundary", "client", client, "boundaries", cs.boundaries,
-					"closed_session_txns", len(cs.current))
+					"closed_session_txns", at-start)
 			}
-			cs.current = cs.current[:0]
+			start = at
 			cs.truncated = false
 			if cs.tracked != nil {
 				cs.tracked.Reset()
 			}
 		}
-		cs.current = append(cs.current, full)
 		if cs.tracked != nil {
-			cs.tracked.Observe(full)
+			cs.tracked.Observe(cs.run[at])
 			s.mIngested.Inc()
 		}
 	}
-	if len(decisions) > 0 {
-		cs.inFlight = cs.inFlight[:copy(cs.inFlight, cs.inFlight[len(decisions):])]
-	}
-	if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
+	cs.decided += len(decisions) - start
+	cs.run = slices.Delete(cs.run, 0, start)
+	if drop := cs.capSegment(0, cs.decided, s.opts.maxSessionTxns); drop > 0 {
+		cs.decided -= drop
 		s.noteTruncation(cs)
 		if cs.tracked != nil {
 			// The accumulator only grows, so rebuild it over the capped
 			// session; classifications keep matching a batch extraction
 			// of exactly the retained transactions.
 			cs.tracked.Reset()
-			cs.tracked.ObserveAll(cs.current)
+			cs.tracked.ObserveAll(cs.current())
 		}
 	}
 }
@@ -1786,9 +1773,9 @@ func (s *service) classifyPass(nowSec float64) {
 			var row []float64
 			var n int
 			if s.track {
-				row, n = s.incrementalRow(m, cs)
+				row, n = s.incrementalRow(m, sh, cs)
 			} else {
-				row, n = s.windowedRow(m, worker, cs, cutoff)
+				row, n = s.windowedRow(m, worker, sh, cs, cutoff)
 			}
 			if n == 0 {
 				continue
@@ -1904,45 +1891,41 @@ func sweepBlock(est *core.Estimator, sh *shard, out []int, rows, stride, nc, bat
 }
 
 // incrementalRow builds a client's feature row from its maintained
-// accumulator, folding the still-undecided transactions (inFlight and
-// buffer, which follow the decided ones in start order) in
-// speculatively so the row covers the whole ongoing session. The
-// caller holds the client's shard lock; TrackedRow touches only the
-// session's own accumulator, so shards proceed in parallel. The
-// accumulator holds the full feature vector, so the pass's bundle m
-// projects its own subset regardless of which model ingested the
-// transactions — reloads across subsets stay correct.
-func (s *service) incrementalRow(m *servingModel, cs *clientState) ([]float64, int) {
-	cs.winTxns = append(cs.winTxns[:0], cs.inFlight...)
-	cs.winTxns = append(cs.winTxns, cs.buffer...)
-	n := cs.tracked.Len() + len(cs.winTxns)
-	if n == 0 {
+// accumulator, folding the still-undecided transactions (the in-flight
+// and buffered segments, which follow the decided ones in start order)
+// in speculatively so the row covers the whole ongoing session. The
+// row lands in the shard's scratch. The caller holds the client's
+// shard lock; TrackedRow touches only the session's own accumulator,
+// so shards proceed in parallel. The accumulator holds the full
+// feature vector, so the pass's bundle m projects its own subset
+// regardless of which model ingested the transactions — reloads
+// across subsets stay correct.
+func (s *service) incrementalRow(m *servingModel, sh *shard, cs *clientState) ([]float64, int) {
+	if len(cs.run) == 0 {
 		return nil, 0
 	}
-	cs.row = m.est.TrackedRow(cs.tracked, cs.winTxns, cs.row)
-	return cs.row, n
+	sh.cRow = m.est.TrackedRow(cs.tracked, cs.run[cs.decided:], sh.cRow)
+	return sh.cRow, len(cs.run)
 }
 
 // windowedRow builds a client's feature row over the transactions of
-// the ongoing session ending inside the sliding window, reusing the
-// client's scratch list and row buffer. The caller holds the client's
-// shard lock; extraction goes through the worker's private RowBuilder
-// (the estimator's shared scratch is not concurrency-safe).
-func (s *service) windowedRow(m *servingModel, worker int, cs *clientState, cutoff float64) ([]float64, int) {
-	w := cs.winTxns[:0]
-	for _, run := range [3][]capture.TLSTransaction{cs.current, cs.inFlight, cs.buffer} {
-		for _, t := range run {
-			if t.End >= cutoff {
-				w = append(w, t)
-			}
+// the ongoing session ending inside the sliding window, in the shard's
+// scratch list and row. The caller holds the client's shard lock;
+// extraction goes through the worker's private RowBuilder (the
+// estimator's shared scratch is not concurrency-safe).
+func (s *service) windowedRow(m *servingModel, worker int, sh *shard, cs *clientState, cutoff float64) ([]float64, int) {
+	w := sh.cTxns[:0]
+	for _, t := range cs.run {
+		if t.End >= cutoff {
+			w = append(w, t)
 		}
 	}
-	cs.winTxns = w
+	sh.cTxns = w
 	if len(w) == 0 {
 		return nil, 0
 	}
-	cs.row = m.rowBuilders[worker].FeatureRow(w, cs.row)
-	return cs.row, len(w)
+	sh.cRow = m.rowBuilders[worker].FeatureRow(w, sh.cRow)
+	return sh.cRow, len(w)
 }
 
 // byName sorts the classification results by client for deterministic

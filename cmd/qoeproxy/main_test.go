@@ -18,6 +18,7 @@ import (
 	"droppackets/internal/has"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
+	"droppackets/internal/sessionid"
 	"droppackets/internal/squidlog"
 	"droppackets/internal/tlsproxy"
 )
@@ -221,14 +222,17 @@ func TestClassifyPassPaths(t *testing.T) {
 			sh := s.shardFor("10.9.9.9")
 			sh.mu.Lock()
 			cs := s.state(sh, "10.9.9.9")
-			for _, tx := range txns[:cut1] {
-				cs.current = append(cs.current, tx)
-				if cs.tracked != nil {
-					cs.tracked.Observe(tx)
-				}
+			cs.run = append(cs.run, txns...)
+			cs.decided = cut1
+			if cs.tracked != nil {
+				cs.tracked.ObserveAll(cs.current())
 			}
-			cs.inFlight = append(cs.inFlight, txns[cut1:cut2]...)
-			cs.buffer = append(cs.buffer, txns[cut2:]...)
+			// The in-flight segment is whatever the streamer holds pending.
+			var look sessionid.StreamerState
+			for _, tx := range txns[cut1:cut2] {
+				look.Pending = append(look.Pending, sessionid.Transaction{Start: tx.Start, End: tx.End, SNI: tx.SNI})
+			}
+			cs.streamer = sessionid.RestoreStreamer(sessionid.PaperParams, look)
 			sh.mu.Unlock()
 
 			want, err := est.Classify(txns)

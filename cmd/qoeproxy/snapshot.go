@@ -2,11 +2,12 @@ package main
 
 // Serving-state snapshot/restore: the warm-restart and partition-
 // handoff half of fleet operation. A snapshot serializes every
-// client's live serving state — sessionizer, reorder buffer, in-flight
-// and current-session runs, recent-transaction ring, lifetime
-// aggregates, last online classification — into one versioned JSON
-// envelope (the convention of internal/core/persist.go: explicit
-// version field, unknown versions rejected). A daemon started with
+// client's live serving state — sessionizer, the ongoing-session run
+// (as its current, in-flight and reorder-buffer segments),
+// recent-transaction ring, lifetime aggregates, last online
+// classification — into one versioned JSON envelope (the convention of
+// internal/core/persist.go: explicit version field, unknown versions
+// rejected). A daemon started with
 // -restore rebuilds that state before ingesting a single record, so
 // its subsequent classifications, counters and sink lines are
 // byte-identical to a daemon that never stopped; the equivalence tests
@@ -15,10 +16,11 @@ package main
 // The feature accumulator is deliberately NOT serialized: its state is
 // a pure function of the current-session transactions ingested in
 // order (apply already relies on this when it rebuilds after
-// truncation), so restore replays cs.current through a fresh
+// truncation), so restore replays the current segment through a fresh
 // accumulator and gets the bit-identical vector back — the envelope
 // stays small and version-stable while the accumulator's internals
-// remain free to change.
+// remain free to change. The live state keeps one run with a cursor
+// but writes its three segments, the data version 1 always held.
 //
 // The envelope carries the epoch of the instance that wrote it, and
 // restore adopts it: every float in the state is epoch-relative
@@ -28,11 +30,14 @@ package main
 // ORIGINAL instance started — documented in docs/OPERATIONS.md).
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,9 +67,9 @@ type savedSnapshot struct {
 }
 
 // snapClient is one client's complete serving state. Transaction runs
-// use capture.TLSTransaction directly — a stable public type — in the
-// same start-ordered concatenation invariant the live state keeps
-// (current ++ in_flight ++ buffer is the ongoing session in order).
+// use capture.TLSTransaction directly — a stable public type — and are
+// the three segments of the live run (current ++ in_flight ++ buffer
+// is the ongoing session in order; see clientState.run).
 type snapClient struct {
 	Client       string                   `json:"client"`
 	Streamer     sessionid.StreamerState  `json:"streamer"`
@@ -104,9 +109,9 @@ func (s *service) snapshotState() *savedSnapshot {
 			sc := snapClient{
 				Client:        client,
 				Streamer:      cs.streamer.State(),
-				Buffer:        append([]capture.TLSTransaction(nil), cs.buffer...),
-				InFlight:      append([]capture.TLSTransaction(nil), cs.inFlight...),
-				Current:       append([]capture.TLSTransaction(nil), cs.current...),
+				Buffer:        append([]capture.TLSTransaction(nil), cs.buffered()...),
+				InFlight:      append([]capture.TLSTransaction(nil), cs.inFlight()...),
+				Current:       append([]capture.TLSTransaction(nil), cs.current()...),
 				Recent:        cs.recent.snapshot(nil),
 				RecentDropped: cs.recent.dropped,
 				LastActivity:  cs.lastActivity,
@@ -120,10 +125,7 @@ func (s *service) snapshotState() *savedSnapshot {
 				HasClass:      cs.hasClass,
 			}
 			if len(cs.activeStarts) > 0 {
-				sc.ActiveStarts = make(map[uint64]float64, len(cs.activeStarts))
-				for id, start := range cs.activeStarts {
-					sc.ActiveStarts[id] = start
-				}
+				sc.ActiveStarts = maps.Clone(cs.activeStarts)
 			}
 			snap.Clients = append(snap.Clients, sc)
 		}
@@ -183,12 +185,37 @@ func loadSnapshotFile(path string) (*savedSnapshot, error) {
 	if snap.EpochUnixNanos == 0 {
 		return nil, fmt.Errorf("snapshot: %s carries no epoch", path)
 	}
-	for i, c := range snap.Clients {
-		if c.Client == "" {
-			return nil, fmt.Errorf("snapshot: %s client %d has an empty address", path, i)
+	for i := range snap.Clients {
+		if err := snap.Clients[i].validate(); err != nil {
+			return nil, fmt.Errorf("snapshot: %s client %d: %w", path, i, err)
 		}
 	}
 	return &snap, nil
+}
+
+// validate rejects a client state the live run cannot hold: in_flight
+// must mirror streamer.pending (the run derives that segment's length
+// from it), the reorder buffer must be sorted by start as inserts keep
+// it, and no lifetime count may be negative. The runs need not
+// concatenate sorted: the live proxy can produce that (see
+// clientState.run).
+func (c *snapClient) validate() error {
+	switch {
+	case c.Client == "":
+		return fmt.Errorf("empty address")
+	case len(c.InFlight) != len(c.Streamer.Pending):
+		return fmt.Errorf("%s: %d in-flight transactions, streamer holds %d", c.Client, len(c.InFlight), len(c.Streamer.Pending))
+	case !slices.IsSortedFunc(c.Buffer, func(a, b capture.TLSTransaction) int { return cmp.Compare(a.Start, b.Start) }):
+		return fmt.Errorf("%s: reorder buffer not sorted by start", c.Client)
+	case c.Txns < 0 || c.UpBytes < 0 || c.DownBytes < 0 || c.Boundaries < 0 || c.RecentDropped < 0:
+		return fmt.Errorf("%s: negative lifetime count", c.Client)
+	}
+	for i, t := range c.InFlight {
+		if p := c.Streamer.Pending[i]; t.Start != p.Start || t.End != p.End || t.SNI != p.SNI {
+			return fmt.Errorf("%s: in-flight transaction %d does not match the streamer's", c.Client, i)
+		}
+	}
+	return nil
 }
 
 // restoreState rebuilds the serving state from a snapshot: the epoch
@@ -214,9 +241,8 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		cs := &clientState{
 			streamer:     sessionid.RestoreStreamer(sessionid.PaperParams, sc.Streamer),
 			activeStarts: map[uint64]float64{},
-			buffer:       append([]capture.TLSTransaction(nil), sc.Buffer...),
-			inFlight:     append([]capture.TLSTransaction(nil), sc.InFlight...),
-			current:      append([]capture.TLSTransaction(nil), sc.Current...),
+			run:          slices.Concat(sc.Current, sc.InFlight, sc.Buffer),
+			decided:      len(sc.Current),
 			recent:       newTxnRing(s.opts.maxSessionTxns),
 			lastActivity: sc.LastActivity,
 			txns:         sc.Txns,
@@ -227,9 +253,7 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 			lastClass:    sc.LastClass,
 			hasClass:     sc.HasClass,
 		}
-		for id, start := range sc.ActiveStarts {
-			cs.activeStarts[id] = start
-		}
+		maps.Copy(cs.activeStarts, sc.ActiveStarts)
 		for _, t := range sc.Recent {
 			cs.recent.push(t)
 		}
@@ -237,7 +261,7 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		cs.durStats.Restore(sc.Dur)
 		if s.track {
 			cs.tracked = core.NewTrackedSession()
-			cs.tracked.ObserveAll(cs.current)
+			cs.tracked.ObserveAll(cs.current())
 		}
 		sh := s.shardFor(sc.Client)
 		sh.mu.Lock()

@@ -24,7 +24,7 @@ import (
 
 // snapTestEstimator trains a small real model so snapshot tests emit
 // real classifications.
-func snapTestEstimator(t *testing.T) *core.Estimator {
+func snapTestEstimator(t testing.TB) *core.Estimator {
 	t.Helper()
 	corpus, err := dataset.Build(dataset.Config{Seed: 5, Sessions: 60}, has.Svc1())
 	if err != nil {
@@ -46,7 +46,7 @@ func snapTestEstimator(t *testing.T) *core.Estimator {
 // (newTestService pins every service to the same epoch, and restore
 // adopts the snapshot's, so streams built once replay into any of
 // them).
-func profileEvents(t *testing.T, profile *has.ServiceProfile, seed int64, sessions, numClients int) []tlsproxy.Record {
+func profileEvents(t testing.TB, profile *has.ServiceProfile, seed int64, sessions, numClients int) []tlsproxy.Record {
 	t.Helper()
 	traffic, err := dataset.Build(dataset.Config{Seed: seed, Sessions: sessions}, profile)
 	if err != nil {
@@ -158,6 +158,7 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 
 					b, logsB := newTestService(t, opts, est)
 					b.restoreFromFile(path)
+					checkClientInvariants(t, b)
 					feed(b, events[cut:])
 					b.classifyPass(endSec)
 					got := classificationLines(t, logsB)
@@ -178,11 +179,11 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 							}
 							var wantRow, gotRow []float64
 							if baseline.track {
-								wantRow, _ = baseline.incrementalRow(m, bcs)
-								gotRow, _ = b.incrementalRow(m, rcs)
+								wantRow, _ = baseline.incrementalRow(m, sh, bcs)
+								gotRow, _ = b.incrementalRow(m, b.shardFor(client), rcs)
 							} else {
-								wantRow, _ = baseline.windowedRow(m, 0, bcs, endSec-opts.window.Seconds())
-								gotRow, _ = b.windowedRow(m, 0, rcs, endSec-opts.window.Seconds())
+								wantRow, _ = baseline.windowedRow(m, 0, sh, bcs, endSec-opts.window.Seconds())
+								gotRow, _ = b.windowedRow(m, 0, b.shardFor(client), rcs, endSec-opts.window.Seconds())
 							}
 							if len(gotRow) != len(wantRow) {
 								t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
@@ -289,6 +290,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	if n := bLogs.countLogMsg(t, "snapshot restored"); n != 1 {
 		t.Fatal("restore did not log success")
 	}
+	checkClientInvariants(t, b)
 	for i, e := range events[cut:] {
 		b.onConnOpen(e)
 		b.ingestOne(e)
@@ -358,6 +360,25 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 	}
 	futureVersion["version"] = 99
 	futureRaw, _ := json.Marshal(futureVersion)
+	// inconsistent writes the snapshot with one field of the first client
+	// that has look-ahead transactions pending edited: valid JSON whose
+	// state the live run cannot hold.
+	inconsistent := func(name string, edit func(c map[string]any)) string {
+		var snap map[string]any
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range snap["clients"].([]any) {
+			c := c.(map[string]any)
+			if c["in_flight"] != nil {
+				edit(c)
+				out, _ := json.Marshal(snap)
+				return write(name+".json", out)
+			}
+		}
+		t.Fatal("seed snapshot has no client with in-flight transactions")
+		return ""
+	}
 
 	cases := map[string]string{
 		"truncated": write("truncated.json", raw[:len(raw)/2]),
@@ -365,6 +386,21 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 		"future":    write("future.json", futureRaw),
 		"empty":     write("empty.json", nil),
 		"missing":   filepath.Join(dir, "does-not-exist.json"),
+		"in-flight-empty": inconsistent("in-flight-empty", func(c map[string]any) {
+			c["in_flight"] = []any{}
+		}),
+		"in-flight-differs": inconsistent("in-flight-differs", func(c map[string]any) {
+			c["in_flight"].([]any)[0].(map[string]any)["SNI"] = "elsewhere.example"
+		}),
+		"buffer-unsorted": inconsistent("buffer-unsorted", func(c map[string]any) {
+			c["buffer"] = []any{
+				map[string]any{"SNI": "b.example", "Start": 9e6, "End": 9e6 + 1},
+				map[string]any{"SNI": "a.example", "Start": 8e6, "End": 8e6 + 1},
+			}
+		}),
+	}
+	for _, field := range []string{"txns", "up_bytes", "down_bytes", "boundaries", "recent_dropped"} {
+		cases["negative-"+field] = inconsistent("negative-"+field, func(c map[string]any) { c[field] = -1 })
 	}
 	for name, path := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -579,4 +615,61 @@ func TestHealthzFleetFields(t *testing.T) {
 	if body.PartitionsOwned != ring.Partitions("a") || body.PartitionsOwned == 0 {
 		t.Errorf("partitions_owned = %d, want %d", body.PartitionsOwned, ring.Partitions("a"))
 	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to the snapshot decoder.
+// Either loadSnapshotFile rejects them, or the restored state holds the
+// run invariants and survives commits, a classify pass and a drain in
+// both classify modes without panicking.
+func FuzzRestoreSnapshot(f *testing.F) {
+	est := snapTestEstimator(f)
+	// A small cap keeps the seed small, so minimizing a new input does
+	// not eat the fuzzing budget.
+	seed, _ := newTestService(f, options{window: 0, maxSessionTxns: 2}, est)
+	feed(seed, profileEvents(f, has.Svc1(), 31, 2, 2))
+	snap := seed.snapshotState()
+	good, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for i := range snap.Clients {
+		if len(snap.Clients[i].InFlight) > 0 {
+			snap.Clients[i].InFlight = nil // in_flight no longer mirrors the streamer
+			bad, _ := json.Marshal(snap)
+			f.Add(bad)
+			break
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "snap.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := loadSnapshotFile(path)
+		if err != nil {
+			return
+		}
+		for _, window := range []time.Duration{0, time.Hour} {
+			s, _ := newTestService(t, options{window: window, maxSessionTxns: 8}, est)
+			s.restoreState(snap)
+			checkClientInvariants(t, s)
+			clients := []string{"10.0.0.1:4000"}
+			if len(snap.Clients) > 0 {
+				clients = append(clients, snap.Clients[0].Client+":4000")
+			}
+			at := snap.Watermark
+			for i := range 4 {
+				for _, c := range clients {
+					r := s.record(uint64(i+1), c, "cdn.example", at+float64(i), at+float64(i)+1, 100, 200)
+					s.onConnOpen(r)
+					s.ingestOne(r)
+				}
+			}
+			checkClientInvariants(t, s)
+			s.classifyPass(at + 5)
+			s.drain()
+			checkClientInvariants(t, s)
+		}
+	})
 }

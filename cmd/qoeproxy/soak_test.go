@@ -113,22 +113,23 @@ func TestEvictionSoakBounded(t *testing.T) {
 				})
 				s.onConnOpen(rec)
 				s.ingestOne(rec)
+				checkClientInvariants(t, s)
 				if e := base + txn.End; e > roundEnd {
 					roundEnd = e
 				}
 			}
 
 			// Direct state inspection: every per-client run is bounded.
-			// capRun's 50% hysteresis allows limit+limit/2 before a
+			// capSegment's 50% hysteresis allows limit+limit/2 before a
 			// truncation pass cuts back to limit.
 			cs := s.client(client)
 			if got := cs.recent.len(); got > maxTxns {
 				t.Errorf("round %d %s: ring holds %d txns, cap %d", round, client, got, maxTxns)
 			}
-			if got := len(cs.current); got > maxTxns+maxTxns/2 {
+			if got := len(cs.current()); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: current session holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
-			if got := len(cs.buffer); got > maxTxns+maxTxns/2 {
+			if got := len(cs.buffered()); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: reorder buffer holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
 			if cs.txns != int64(len(sorted)) {
@@ -158,7 +159,9 @@ func TestEvictionSoakBounded(t *testing.T) {
 		// The classify tick: a pass, then the eviction sweep past the TTL.
 		evictAt := s.epoch.Add(time.Duration((roundEnd + ttl.Seconds() + 1) * float64(time.Second)))
 		s.classifyPass(evictAt.Sub(s.epoch).Seconds())
+		checkClientInvariants(t, s)
 		s.evictIdle(evictAt.Sub(s.epoch).Seconds())
+		checkClientInvariants(t, s)
 
 		if left := s.clientCount(); left != 0 {
 			t.Fatalf("round %d: %d clients survived the eviction sweep", round, left)

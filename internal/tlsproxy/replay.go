@@ -118,8 +118,8 @@ type ReplayStats struct {
 	Wall time.Duration
 }
 
-// RecordSource replays a workload into OnConnOpen/OnTransaction
-// callbacks. Each connection produces an open event at its Start
+// RecordSource replays a workload into connection-open and
+// transaction-batch callbacks. Each connection produces an open event at its Start
 // offset and a transaction event at its End offset; record timestamps
 // are logical (base + offset) regardless of pacing, so sessionization
 // output is invariant under acceleration.
@@ -128,7 +128,7 @@ type RecordSource struct {
 	// ordered by Start, as a capture would be.
 	Records []ReplayRecord
 	// Speed is the time-compression factor: events at offset t are
-	// delivered at wall time t/Speed after Run starts. 1 replays in
+	// delivered at wall time t/Speed after RunBatched starts. 1 replays in
 	// real time; 0 (or negative) delivers as fast as possible.
 	Speed float64
 	// Workers is the number of delivery goroutines. Clients are
@@ -146,30 +146,18 @@ type replayEvent struct {
 	rec  Record
 }
 
-// Run delivers the workload into the callbacks (either may be nil)
-// until done or ctx is cancelled, returning delivery stats. ConnIDs
-// are assigned deterministically from record order (1-based), and for
-// each connection the open event is delivered before the transaction
-// event on the same goroutine; events of one client always replay on
-// one goroutine in offset order.
-func (s *RecordSource) Run(ctx context.Context, base time.Time, open, txn func(Record)) ReplayStats {
-	var txnBatch func([]Record)
-	if txn != nil {
-		txnBatch = func(recs []Record) {
-			for _, r := range recs {
-				txn(r)
-			}
-		}
-	}
-	return s.RunBatched(ctx, base, open, txnBatch, 1)
-}
-
-// RunBatched is Run with transaction events coalesced: each worker
-// appends completed records to a batch of up to maxBatch and flushes it
-// before any open event, before every pacing sleep, and at the end of
-// its partition — so txnBatch observes exactly the per-goroutine event
-// order Run would deliver, just in runs instead of single calls. The
-// batch slice is reused between flushes; txnBatch must not retain it.
+// RunBatched delivers the workload into the callbacks (either may be
+// nil) until done or ctx is cancelled, returning delivery stats.
+// ConnIDs are assigned deterministically from record order (1-based),
+// and for each connection the open event is delivered before the
+// transaction event on the same goroutine; events of one client always
+// replay on one goroutine in offset order. Transaction events are
+// coalesced: each worker appends completed records to a batch of up to
+// maxBatch (at least 1) and flushes it before any open event, before
+// every pacing sleep, and at the end of its partition — so txnBatch
+// observes the per-goroutine event order in runs, and maxBatch 1
+// delivers one record per call. The batch slice is reused between
+// flushes; txnBatch must not retain it.
 func (s *RecordSource) RunBatched(ctx context.Context, base time.Time, open func(Record), txnBatch func([]Record), maxBatch int) ReplayStats {
 	if maxBatch <= 0 {
 		maxBatch = 1

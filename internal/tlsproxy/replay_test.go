@@ -77,16 +77,17 @@ func TestRecordSourceDelivery(t *testing.T) {
 	opened := map[uint64]Record{}
 	txns := map[uint64]Record{}
 	lastEnd := map[string]float64{}
-	stats := src.Run(context.Background(), base, func(r Record) {
+	stats := src.RunBatched(context.Background(), base, func(r Record) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := opened[r.ConnID]; dup {
 			t.Errorf("conn %d opened twice", r.ConnID)
 		}
 		opened[r.ConnID] = r
-	}, func(r Record) {
+	}, func(batch []Record) {
 		mu.Lock()
 		defer mu.Unlock()
+		r := batch[0]
 		if _, ok := opened[r.ConnID]; !ok {
 			t.Errorf("conn %d transaction before open", r.ConnID)
 		}
@@ -101,7 +102,7 @@ func TestRecordSourceDelivery(t *testing.T) {
 			t.Errorf("client %s transactions out of order: %v after %v", r.ClientAddr, end, lastEnd[r.ClientAddr])
 		}
 		lastEnd[r.ClientAddr] = end
-	})
+	}, 1)
 
 	if stats.Records != int64(len(recs)) {
 		t.Fatalf("stats.Records = %d, want %d", stats.Records, len(recs))
@@ -142,7 +143,7 @@ func TestRecordSourcePacing(t *testing.T) {
 	}
 	base := time.Now()
 
-	fast := (&RecordSource{Records: recs}).Run(context.Background(), base, nil, nil)
+	fast := (&RecordSource{Records: recs}).RunBatched(context.Background(), base, nil, nil, 1)
 	if fast.Records != 2 {
 		t.Fatalf("full-speed run delivered %d", fast.Records)
 	}
@@ -150,7 +151,7 @@ func TestRecordSourcePacing(t *testing.T) {
 		t.Errorf("full-speed replay took %v", fast.Wall)
 	}
 
-	paced := (&RecordSource{Records: recs, Speed: 4}).Run(context.Background(), base, nil, nil)
+	paced := (&RecordSource{Records: recs, Speed: 4}).RunBatched(context.Background(), base, nil, nil, 1)
 	if paced.Records != 2 {
 		t.Fatalf("paced run delivered %d", paced.Records)
 	}
@@ -159,11 +160,11 @@ func TestRecordSourcePacing(t *testing.T) {
 	}
 }
 
-// TestRunBatchedMatchesRun pins the batched delivery seam against the
-// per-record path: with one worker, the flattened batch stream must
-// reproduce Run's event sequence exactly — same interleaving of opens
+// TestRunBatchedMatchesRun pins coalesced delivery against one-record
+// batches: with one worker, the flattened batch stream must reproduce
+// the maxBatch 1 event sequence exactly — same interleaving of opens
 // and transactions, same stats — while actually coalescing, and a
-// maxBatch of 1 must degenerate to one-record batches.
+// maxBatch of 1 must never deliver more than one record per call.
 func TestRunBatchedMatchesRun(t *testing.T) {
 	recs := testWorkload(200)
 	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
@@ -176,12 +177,6 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 		var r run
 		src := &RecordSource{Records: recs, Workers: 1}
 		open := func(rec Record) { r.events = append(r.events, "open:"+fmtConnEvent(rec)) }
-		if maxBatch == 0 {
-			src.Run(context.Background(), base, open, func(rec Record) {
-				r.events = append(r.events, "txn:"+fmtConnEvent(rec))
-			})
-			return r
-		}
 		st := src.RunBatched(context.Background(), base, open, func(batch []Record) {
 			if len(batch) > r.maxBatch {
 				r.maxBatch = len(batch)
@@ -196,7 +191,7 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 		return r
 	}
 
-	ref := collect(0)
+	ref := collect(1)
 	for _, maxBatch := range []int{1, 7, 64} {
 		got := collect(maxBatch)
 		if len(got.events) != len(ref.events) {
@@ -230,7 +225,7 @@ func TestRecordSourceCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan ReplayStats, 1)
 	go func() {
-		done <- (&RecordSource{Records: recs, Speed: 1, Workers: 2}).Run(ctx, time.Now(), nil, nil)
+		done <- (&RecordSource{Records: recs, Speed: 1, Workers: 2}).RunBatched(ctx, time.Now(), nil, nil, 1)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()

@@ -34,6 +34,12 @@ echo "== go test -race (concurrent packages, incl. faultinject chaos tests and q
 # default timeout.
 go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/cluster ./cmd/qoeproxy
 
+echo "== snapshot decoder fuzz (15s) =="
+# The seeds run in go test above; this mutates them: every decodable
+# snapshot must restore, ingest, classify and drain without a panic
+# and with the per-client run invariants intact.
+go test -run '^$' -fuzz '^FuzzRestoreSnapshot$' -fuzztime 15s ./cmd/qoeproxy
+
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .
 
